@@ -51,6 +51,19 @@ func Load(path string) (map[wire.NodeID]string, error) {
 	return out, nil
 }
 
+// Require checks that every id has an address in the book. The static
+// transports bind an id without one to an ephemeral loopback port that no
+// other process can resolve, so a daemon or source endpoint named outside
+// the shared book file would be unreachable.
+func Require(addrs map[wire.NodeID]string, ids []wire.NodeID) error {
+	for _, id := range ids {
+		if _, ok := addrs[id]; !ok {
+			return fmt.Errorf("id %d not in address book", id)
+		}
+	}
+	return nil
+}
+
 // ParseIDs parses a comma-separated id list ("3,4,5").
 func ParseIDs(s string) ([]wire.NodeID, error) {
 	if strings.TrimSpace(s) == "" {

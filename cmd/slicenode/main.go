@@ -55,6 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("slicenode: %v", err)
 	}
+	if err := book.Require(addrs, nodeIDs); err != nil {
+		log.Fatalf("slicenode: -id: %v", err)
+	}
 	var out *os.File
 	if *outPath != "" {
 		out, err = os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

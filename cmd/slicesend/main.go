@@ -72,6 +72,9 @@ func main() {
 		log.Fatalf("slicesend: -relays: %v", err)
 	}
 	sources, err := book.ParseIDs(*sourcesFlag)
+	if err == nil {
+		err = book.Require(addrs, sources)
+	}
 	if err != nil {
 		log.Fatalf("slicesend: -sources: %v", err)
 	}

@@ -63,27 +63,6 @@ var (
 // TransportStats re-exports the unified transport counter vocabulary.
 type TransportStats = overlay.TransportStats
 
-// bookTransport is the shared surface of the address-book socket
-// transports (StaticTCP, StaticUDP): the full overlay.Transport plus the
-// dynamic-attach escape hatch the facade needs for relays grown on the fly.
-type bookTransport interface {
-	overlay.Transport
-	AttachDynamic(id wire.NodeID, h overlay.Handler) error
-}
-
-// staticFacade adapts a book transport to the facade: node ids with a book
-// entry bind their pre-agreed address, everything else — relays grown on
-// the fly, transient source endpoints — binds a fresh loopback port that
-// stays resolvable inside this process.
-type staticFacade struct{ bookTransport }
-
-func (s staticFacade) Attach(id wire.NodeID, h overlay.Handler) error {
-	if err := s.bookTransport.Attach(id, h); err == nil || !errors.Is(err, overlay.ErrUnknownNode) {
-		return err
-	}
-	return s.bookTransport.AttachDynamic(id, h)
-}
-
 // Network is an in-process information-slicing overlay: a transport plus a
 // set of relay daemons.
 type Network struct {
@@ -242,20 +221,6 @@ func WithTransport(spec TransportSpec) Option {
 	}
 }
 
-// WithStaticTCP runs the overlay over real TCP sockets.
-//
-// Deprecated: use WithTransport(TCPSpec{Book: book}).
-func WithStaticTCP(book map[NodeID]string) Option {
-	return WithTransport(TCPSpec{Book: book})
-}
-
-// WithVirtualTime runs the network on the given virtual clock.
-//
-// Deprecated: use WithTransport(VirtualSpec{Clock: vc}).
-func WithVirtualTime(vc *simnet.VirtualClock) Option {
-	return WithTransport(VirtualSpec{Clock: vc})
-}
-
 // New creates an empty overlay network. Without WithSeed the seed derives
 // from the process base seed (simnet.BaseSeed), so a failing run can be
 // replayed by pinning INFOSLICING_SEED.
@@ -281,12 +246,12 @@ func New(opts ...Option) *Network {
 			Loss:   cfg.profile.Loss,
 		})
 	case tcpKind:
-		tr = staticFacade{overlay.NewStaticTCP(cfg.book)}
+		tr = overlay.NewStaticTCP(cfg.book)
 	case udpKind:
-		tr = staticFacade{overlay.NewStaticUDP(cfg.book, overlay.UDPOptions{
+		tr = overlay.NewStaticUDP(cfg.book, overlay.UDPOptions{
 			Loss: cfg.udpLoss,
 			Seed: cfg.seed + 3,
-		})}
+		})
 	default:
 		tr = overlay.NewChanNetwork(cfg.profile, rand.New(rand.NewSource(cfg.seed+1)))
 	}

@@ -1,16 +1,17 @@
 // Package overlay provides the peer-to-peer substrate that information
 // slicing runs over: node identities, transports that deliver packets
-// between nodes, network profiles that emulate LAN and PlanetLab conditions
-// (§7), and a churn controller that fails nodes mid-transfer (§8).
+// between nodes, and network profiles that emulate LAN and PlanetLab
+// conditions (§7).
 //
-// Three transports are provided. ChanNetwork is an in-process network with
-// configurable per-node bandwidth, link latency, and loss — the workhorse
-// for experiments, since one machine can host hundreds of relay goroutines.
-// TCPNetwork runs the identical byte protocol over real loopback sockets,
-// and StaticTCP over a pre-agreed address book spanning processes and
-// hosts; both are thin shims over the production peer layer
-// (internal/transport): per-host bounded queues, batched writev writers,
-// reconnect with backoff, and slab-based zero-copy readers.
+// Two transport families are provided. ChanNetwork is an in-process
+// network with configurable per-node bandwidth, link latency, and loss —
+// the workhorse for experiments, since one machine can host hundreds of
+// relay goroutines. StaticTCP and StaticUDP run the identical byte
+// protocol over real sockets, addressed through an id→address book that
+// can span processes and hosts; they are two flavours of one static-socket
+// core over the production peer layer (internal/transport): per-host
+// bounded queues, batched writers, reconnect with backoff, and slab-based
+// zero-copy readers.
 package overlay
 
 import (
@@ -134,26 +135,6 @@ type LossReporter interface {
 // transaction (per-destination batching is all-or-nothing).
 type OwnedSender interface {
 	SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error
-}
-
-// SendOwnedOrCopy sends a one-destination burst through the transport's
-// owned path when it has one, else falls back to per-frame copying Sends
-// and fires release itself — either way release is consumed exactly once.
-// The fallback returns the first error it sees (data-path callers that
-// must count shed frames exactly, like the relay's egress stage, inline
-// the same split so they can attribute drops per frame).
-func SendOwnedOrCopy(tr Transport, from, to wire.NodeID, bufs [][]byte, release func()) error {
-	if os, ok := tr.(OwnedSender); ok {
-		return os.SendOwned(from, to, bufs, release)
-	}
-	var err error
-	for _, b := range bufs {
-		if e := tr.Send(from, to, b); e != nil && err == nil {
-			err = e
-		}
-	}
-	release()
-	return err
 }
 
 // Errors.

@@ -363,75 +363,3 @@ func TestProfiles(t *testing.T) {
 		t.Fatal("unshaped should be unlimited")
 	}
 }
-
-func TestChurnModelFailureProbability(t *testing.T) {
-	m := ChurnModel{MeanLifetime: 20 * time.Minute}
-	p30 := m.FailureProbability(30 * time.Minute)
-	if p30 < 0.7 || p30 > 0.85 { // 1-e^-1.5 ≈ 0.777
-		t.Fatalf("p(30min)=%v", p30)
-	}
-	if (ChurnModel{}).FailureProbability(time.Hour) != 0 {
-		t.Fatal("zero model should never fail")
-	}
-	if m.FailureProbability(0) != 0 {
-		t.Fatal("zero session should never fail")
-	}
-}
-
-func TestChurnerFailsNodes(t *testing.T) {
-	n := NewChanNetwork(Unshaped(), rand.New(rand.NewSource(8)))
-	defer n.Close()
-	ids := make([]wire.NodeID, 20)
-	for i := range ids {
-		ids[i] = wire.NodeID(i + 1)
-		n.Attach(ids[i], func(wire.NodeID, []byte) {})
-	}
-	ch := NewChurner(ChurnModel{MeanLifetime: 10 * time.Millisecond}, n, rand.New(rand.NewSource(9)))
-	defer ch.Stop()
-	ch.Watch(ids...)
-	deadline := time.Now().Add(2 * time.Second)
-	for ch.FailedCount() < 15 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if ch.FailedCount() < 15 {
-		t.Fatalf("only %d nodes failed", ch.FailedCount())
-	}
-}
-
-func TestChurnerRejoin(t *testing.T) {
-	n := NewChanNetwork(Unshaped(), rand.New(rand.NewSource(10)))
-	defer n.Close()
-	n.Attach(1, func(wire.NodeID, []byte) {})
-	ch := NewChurner(ChurnModel{
-		MeanLifetime: 5 * time.Millisecond,
-		Rejoin:       5 * time.Millisecond,
-	}, n, rand.New(rand.NewSource(11)))
-	defer ch.Stop()
-	ch.Watch(1)
-	// Node should cycle: observe at least one failure and one revival.
-	sawDown, sawUp := false, false
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && !(sawDown && sawUp) {
-		if n.Down(1) {
-			sawDown = true
-		} else if sawDown {
-			sawUp = true
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !sawDown || !sawUp {
-		t.Fatalf("churn cycle incomplete: down=%v up=%v", sawDown, sawUp)
-	}
-}
-
-func TestChurnerStopCancels(t *testing.T) {
-	n := NewChanNetwork(Unshaped(), rand.New(rand.NewSource(12)))
-	defer n.Close()
-	n.Attach(1, func(wire.NodeID, []byte) {})
-	ch := NewChurner(ChurnModel{MeanLifetime: time.Hour}, n, rand.New(rand.NewSource(13)))
-	ch.Watch(1)
-	ch.Stop()
-	if ch.FailedCount() != 0 {
-		t.Fatal("stop should leave nothing failed")
-	}
-}

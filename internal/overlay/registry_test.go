@@ -88,27 +88,30 @@ func TestRegistryCapEviction(t *testing.T) {
 	}
 }
 
-// TestStaticUDPLearnsSender is the NAT/restart scenario end to end at the
-// transport layer: node B is absent from A's book, so A can only reach B's
-// observed endpoint after B's traffic teaches the registry. The test
-// asserts the learning path — observation, registry resolution, peer
-// creation, frames emitted — not round-trip delivery: the observed address
-// is B's *sending* socket, and whether a daemon answers where it speaks is
-// a deployment property (see the registry doc comment).
-func TestStaticUDPLearnsSender(t *testing.T) {
+// The NAT/restart scenario end to end at the transport layer: node B is
+// absent from A's book, so A can only reach B's observed endpoint after
+// B's traffic teaches the registry. The test asserts the learning path —
+// observation, registry resolution, peer creation — not round-trip
+// delivery: the observed address is B's *sending* socket, and whether a
+// daemon answers where it speaks is a deployment property (see the
+// registry doc comment).
+func TestStaticTCPLearnsSender(t *testing.T) { testStaticLearnsSender(t, tcpFlavour) }
+func TestStaticUDPLearnsSender(t *testing.T) { testStaticLearnsSender(t, udpFlavour) }
+
+func testStaticLearnsSender(t *testing.T, f staticFlavour) {
 	const a, b = wire.NodeID(1), wire.NodeID(2)
-	sA := NewStaticUDP(nil, UDPOptions{})
+	sA := f.make(nil)
 	defer sA.Close()
 	var sink tcpSink
-	if err := sA.AttachDynamic(a, sink.handler); err != nil {
+	if err := sA.Attach(a, sink.handler); err != nil {
 		t.Fatal(err)
 	}
 	addrA, _ := sA.Addr(a)
 
 	// B's process knows A; A's process does not know B.
-	sB := NewStaticUDP(map[wire.NodeID]string{a: addrA}, UDPOptions{})
+	sB := f.make(map[wire.NodeID]string{a: addrA})
 	defer sB.Close()
-	if err := sB.AttachDynamic(b, func(wire.NodeID, []byte) {}); err != nil {
+	if err := sB.Attach(b, nopHandler); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,8 +134,16 @@ func TestStaticUDPLearnsSender(t *testing.T) {
 	}
 	sink.wait(t, 1, 5*time.Second)
 
-	// Now A resolves B through the registry: a peer is created and frames
-	// leave the building.
+	// Now A resolves B through the registry and mints a peer for the
+	// learned address. A datagram peer emits frames there at once; a
+	// stream peer must dial B's outbound socket first, which may not
+	// complete — resolution, not reachability, is the registry's contract.
+	if !f.connectionless {
+		if err := sA.Send(a, b, []byte("reply")); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	if !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
 		if err := sA.Send(a, b, []byte("reply to learned endpoint")); err != nil {
 			t.Fatal(err)
@@ -140,47 +151,6 @@ func TestStaticUDPLearnsSender(t *testing.T) {
 		return sA.Stats().Packets > 0
 	}) {
 		t.Fatalf("no frames toward learned endpoint: %+v", sA.Stats())
-	}
-}
-
-// Same scenario over the TCP transport: the stream acceptor observes the
-// sender id on B's first frame and the registry makes B resolvable.
-func TestStaticTCPLearnsSender(t *testing.T) {
-	const a, b = wire.NodeID(1), wire.NodeID(2)
-	sA := NewStaticTCP(nil)
-	defer sA.Close()
-	var sink tcpSink
-	if err := sA.AttachDynamic(a, sink.handler); err != nil {
-		t.Fatal(err)
-	}
-	addrA, _ := sA.Addr(a)
-
-	sB := NewStaticTCP(map[wire.NodeID]string{a: addrA})
-	defer sB.Close()
-	if err := sB.AttachDynamic(b, func(wire.NodeID, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := sA.Send(a, b, []byte("early")); err != nil {
-		t.Fatal(err)
-	}
-	if got := sA.Stats().Packets; got != 0 {
-		t.Fatalf("%d frames out before B was resolvable", got)
-	}
-
-	if !simnet.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
-		sB.Send(b, a, []byte("hello from B"))
-		return sA.LearnedEndpoints() == 1
-	}) {
-		t.Fatalf("registry never learned B's endpoint (learned=%d)", sA.LearnedEndpoints())
-	}
-	sink.wait(t, 1, 5*time.Second)
-
-	// Resolvable now: Send mints a peer for the learned address. (The
-	// learned address is B's outbound socket, so the dial itself may not
-	// complete — resolution, not reachability, is the registry's contract.)
-	if err := sA.Send(a, b, []byte("reply")); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -196,7 +166,7 @@ func TestRegistryBookWins(t *testing.T) {
 	if err := s.Attach(a, sink.handler); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Attach(b, func(wire.NodeID, []byte) {}); err != nil {
+	if err := s.Attach(b, nopHandler); err != nil {
 		t.Fatal(err)
 	}
 	// b is in the book, so traffic from b teaches the registry nothing.

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -12,13 +11,12 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// StaticUDP is the datagram twin of StaticTCP: a cross-process UDP
-// transport over a pre-agreed address book, riding the congestion-
-// controlled datagram peer layer (internal/transport UDPPeer/UDPAcceptor:
-// per-host bounded queues, sendmmsg-batched writers paced by a CUBIC
-// window over the transport's ack/echo channel, recvmmsg-batched readers).
-// Framing inside each datagram matches the TCP stream byte-for-byte; a
-// frame never splits across datagrams.
+// StaticUDP is the datagram flavour of the static-socket transport, riding
+// the congestion-controlled datagram peer layer (internal/transport
+// UDPPeer/UDPAcceptor: per-host bounded queues, sendmmsg-batched writers
+// paced by a CUBIC window over the transport's ack/echo channel,
+// recvmmsg-batched readers). Framing inside each datagram matches the TCP
+// stream byte-for-byte; a frame never splits across datagrams.
 //
 // Loss is handled by the slicing protocol, not the transport: a lost
 // datagram is never retransmitted. What the transport contributes is
@@ -26,14 +24,7 @@ import (
 // surfaced through AddLossWatcher so the facade can escalate persistent
 // loss beyond the redundancy budget to splice repair.
 type StaticUDP struct {
-	mu     sync.RWMutex
-	book   map[wire.NodeID]string
-	local  map[wire.NodeID]*staticUDPEndpoint
-	down   map[wire.NodeID]bool
-	peers  *transport.PeerSet
-	ucfg   transport.UDPConfig
-	reg    *endpointRegistry
-	closed bool
+	staticCore
 
 	watchMu  sync.Mutex
 	watchSeq int
@@ -45,13 +36,7 @@ type lossWatcher struct {
 	f         func(to wire.NodeID, rate float64)
 }
 
-type staticUDPEndpoint struct {
-	acc     *transport.UDPAcceptor
-	addr    string
-	dynamic bool
-}
-
-// UDPOptions tunes a StaticUDP / UDPNetwork beyond the address book.
+// UDPOptions tunes a StaticUDP beyond the address book.
 type UDPOptions struct {
 	// Loss injects an independent drop probability on every endpoint's
 	// inbound datagrams (data and acks): a socket-level netem shim for
@@ -66,12 +51,8 @@ type UDPOptions struct {
 	Config transport.UDPConfig
 }
 
-// NewStaticUDP creates a transport over the given id→address book.
+// NewStaticUDP creates a UDP transport over the given id→address book.
 func NewStaticUDP(book map[wire.NodeID]string, opts UDPOptions) *StaticUDP {
-	b := make(map[wire.NodeID]string, len(book))
-	for id, addr := range book {
-		b[id] = addr
-	}
 	ucfg := opts.Config
 	ucfg.RxDrop = nil
 	ucfg.OnLoss = nil
@@ -91,15 +72,8 @@ func NewStaticUDP(book map[wire.NodeID]string, opts UDPOptions) *StaticUDP {
 			return drop
 		}
 	}
-	s := &StaticUDP{
-		book:     b,
-		local:    make(map[wire.NodeID]*staticUDPEndpoint),
-		down:     make(map[wire.NodeID]bool),
-		ucfg:     ucfg,
-		reg:      newEndpointRegistry(ucfg.Clock),
-		watchers: make(map[int]lossWatcher),
-	}
-	s.peers = transport.NewLinkSet(func(to wire.NodeID, resolve func() (string, bool)) transport.Link {
+	s := &StaticUDP{watchers: make(map[int]lossWatcher)}
+	peers := transport.NewLinkSet(func(to wire.NodeID, resolve func() (string, bool)) transport.Link {
 		cfg := transport.Config{}
 		if lossy {
 			// The shim rolls the Bernoulli die once per datagram, so run
@@ -112,12 +86,29 @@ func NewStaticUDP(book map[wire.NodeID]string, opts UDPOptions) *StaticUDP {
 			// budget is sized for. Lossless runs keep full batching.
 			cfg.MaxBatch = 1
 		}
-		pucfg := s.ucfg
+		pucfg := ucfg
 		pucfg.OnLoss = func(rate float64) { s.reportLoss(to, rate) }
 		return transport.NewUDPPeer(resolve, cfg, pucfg)
 	})
+	s.init(book, ucfg.Clock, peers, func(addr string, deliver transport.Deliver) (acceptor, error) {
+		la, err := net.ResolveUDPAddr("udp", addr)
+		if err != nil {
+			return nil, err
+		}
+		conn, err := net.ListenUDP("udp", la)
+		if err != nil {
+			return nil, err
+		}
+		aucfg := ucfg
+		aucfg.OnSender = s.observeSender
+		return transport.NewUDPAcceptor(conn, transport.DefaultMaxFrame, aucfg, deliver), nil
+	})
 	return s
 }
+
+// NewUDPNetwork creates a UDP overlay with an empty book: every node binds
+// a loopback port on Attach.
+func NewUDPNetwork(opts UDPOptions) *StaticUDP { return NewStaticUDP(nil, opts) }
 
 // AddLossWatcher implements LossReporter: f fires (rate-limited by the
 // peer layer, off the data path) whenever the smoothed datagram loss rate
@@ -150,222 +141,6 @@ func (s *StaticUDP) reportLoss(to wire.NodeID, rate float64) {
 	}
 }
 
-// Attach implements Transport: it binds the node's UDP socket at its book
-// address.
-func (s *StaticUDP) Attach(id wire.NodeID, h Handler) error {
-	s.mu.RLock()
-	addr, ok := s.book[id]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %d not in address book", ErrUnknownNode, id)
-	}
-	return s.attach(id, addr, false, h)
-}
-
-// AttachDynamic binds the node to a fresh loopback port and records the
-// address in this process's book (see StaticTCP.AttachDynamic).
-func (s *StaticUDP) AttachDynamic(id wire.NodeID, h Handler) error {
-	return s.attach(id, "127.0.0.1:0", true, h)
-}
-
-func (s *StaticUDP) attach(id wire.NodeID, addr string, dynamic bool, h Handler) error {
-	la, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return fmt.Errorf("overlay: %w", err)
-	}
-	conn, err := net.ListenUDP("udp", la)
-	if err != nil {
-		return fmt.Errorf("overlay: %w", err)
-	}
-	ep := &staticUDPEndpoint{addr: conn.LocalAddr().String(), dynamic: dynamic}
-	aucfg := s.ucfg
-	aucfg.OnSender = s.observeSender
-	ep.acc = transport.NewUDPAcceptor(conn, transport.DefaultMaxFrame, aucfg,
-		func(from wire.NodeID, data []byte) bool {
-			s.mu.RLock()
-			cur := s.local[id]
-			isDown := s.down[id] || s.down[from]
-			s.mu.RUnlock()
-			if cur != ep {
-				return false // detached or superseded: stop delivering
-			}
-			if isDown {
-				return true // crashed receiver or sender: discarded
-			}
-			h(from, data)
-			return true
-		})
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ep.acc.Close()
-		return ErrNodeDown
-	}
-	if _, dup := s.local[id]; dup {
-		s.mu.Unlock()
-		ep.acc.Close()
-		return fmt.Errorf("%w: %d", ErrDuplicateNode, id)
-	}
-	s.local[id] = ep
-	s.book[id] = ep.addr
-	s.mu.Unlock()
-	// Read only after the endpoint is published (the attach race, same as
-	// StaticTCP): the first inbound datagram must find the liveness check
-	// already true.
-	ep.acc.Start()
-	return nil
-}
-
-// Addr returns a node's listen address (see StaticTCP.Addr).
-func (s *StaticUDP) Addr(id wire.NodeID) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ep, ok := s.local[id]; ok {
-		return ep.addr, true
-	}
-	addr, ok := s.book[id]
-	return addr, ok
-}
-
-// Detach implements Transport.
-func (s *StaticUDP) Detach(id wire.NodeID) {
-	s.mu.Lock()
-	ep := s.local[id]
-	delete(s.local, id)
-	if ep != nil && ep.dynamic {
-		delete(s.book, id)
-	}
-	s.mu.Unlock()
-	s.peers.Drop(func(to wire.NodeID) bool { return to == id })
-	if ep != nil {
-		ep.acc.Close()
-	}
-}
-
-// Fail crashes a local node (churn injection, see StaticTCP.Fail).
-func (s *StaticUDP) Fail(id wire.NodeID) {
-	s.mu.Lock()
-	s.down[id] = true
-	s.mu.Unlock()
-}
-
-// Revive restores a failed node.
-func (s *StaticUDP) Revive(id wire.NodeID) {
-	s.mu.Lock()
-	delete(s.down, id)
-	s.mu.Unlock()
-}
-
-// Down reports whether the node is marked failed in this process.
-func (s *StaticUDP) Down(id wire.NodeID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.down[id]
-}
-
-// Send implements Transport: same shape and contract as StaticTCP.Send —
-// never blocks, never dials on this path, full queue drops with the
-// advisory ErrSendQueueFull.
-func (s *StaticUDP) Send(from, to wire.NodeID, data []byte) error {
-	s.mu.RLock()
-	_, known := s.book[to]
-	isDown := s.down[from]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil // datagram into the void, not congestion
-	}
-	if isDown {
-		return fmt.Errorf("%w: %d", ErrNodeDown, from)
-	}
-	if !known {
-		// Not in the book: a learned endpoint may still resolve it (the
-		// registry only ever holds ids the book lacks).
-		if _, ok := s.reg.learned(to); !ok {
-			return nil
-		}
-	}
-	p := s.peers.Lookup(to)
-	if p == nil {
-		p = s.peers.Get(to, func() (string, bool) {
-			s.mu.RLock()
-			addr, ok := s.book[to]
-			s.mu.RUnlock()
-			if ok {
-				return addr, true
-			}
-			return s.reg.learned(to)
-		})
-	}
-	if p == nil {
-		return nil
-	}
-	if !p.Enqueue(from, data) {
-		s.mu.RLock()
-		closed = s.closed
-		s.mu.RUnlock()
-		if closed {
-			return nil // the queue "filled" because Close reaped it
-		}
-		return ErrSendQueueFull
-	}
-	return nil
-}
-
-// SendOwned implements OwnedSender: the same checks and resolution as
-// Send, with the burst handed to the datagram peer by reference — the
-// packer copies header‖payload straight into datagram buffers (the owned
-// path's single copy) and release fires right after packing, or on
-// whichever drop path consumes the batch first (see StaticTCP.SendOwned
-// for the exactly-once split).
-func (s *StaticUDP) SendOwned(from, to wire.NodeID, bufs [][]byte, release func()) error {
-	s.mu.RLock()
-	_, known := s.book[to]
-	isDown := s.down[from]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		release()
-		return nil // datagram into the void, not congestion
-	}
-	if isDown {
-		release()
-		return fmt.Errorf("%w: %d", ErrNodeDown, from)
-	}
-	if !known {
-		if _, ok := s.reg.learned(to); !ok {
-			release()
-			return nil
-		}
-	}
-	p := s.peers.Lookup(to)
-	if p == nil {
-		p = s.peers.Get(to, func() (string, bool) {
-			s.mu.RLock()
-			addr, ok := s.book[to]
-			s.mu.RUnlock()
-			if ok {
-				return addr, true
-			}
-			return s.reg.learned(to)
-		})
-	}
-	if p == nil {
-		release()
-		return nil
-	}
-	if !p.EnqueueOwned(from, bufs, release) {
-		s.mu.RLock()
-		closed = s.closed
-		s.mu.RUnlock()
-		if closed {
-			return nil // the queue "filled" because Close reaped it
-		}
-		return ErrSendQueueFull
-	}
-	return nil
-}
-
 // SendDelay implements CongestionAdvisor: the destination peer's estimate
 // of how long to hold the next burst (zero when its window has room or the
 // peer does not exist yet).
@@ -377,72 +152,14 @@ func (s *StaticUDP) SendDelay(to wire.NodeID, bytes int) time.Duration {
 	return p.SendDelay(bytes)
 }
 
-// observeSender feeds the learned endpoint registry from the acceptors'
-// first-frame observations (see StaticTCP.observeSender: book wins, a
-// moved address invalidates the cached peer).
-func (s *StaticUDP) observeSender(id wire.NodeID, addr string) {
-	s.mu.RLock()
-	_, inBook := s.book[id]
-	s.mu.RUnlock()
-	if inBook {
-		return
-	}
-	if s.reg.observe(id, addr) {
-		s.peers.Drop(func(to wire.NodeID) bool { return to == id })
-	}
-}
-
-// LearnedEndpoints reports how many sender endpoints the registry currently
-// holds (ids absent from the book, learned from inbound traffic).
-func (s *StaticUDP) LearnedEndpoints() int { return s.reg.size() }
-
-// PeerStats reports aggregate outbound peer counters.
-func (s *StaticUDP) PeerStats() transport.Stats { return s.peers.Stats() }
-
 // UDPStats sums the datagram-specific counters over every live peer
 // (Window is summed; SRTT and LossRate are the per-peer maxima).
 func (s *StaticUDP) UDPStats() transport.UDPPeerStats {
 	var tot transport.UDPPeerStats
 	s.peers.Each(func(_ wire.NodeID, p transport.Link) {
 		if up, ok := p.(*transport.UDPPeer); ok {
-			st := up.UDPStats()
-			tot.Add(st)
+			tot.Add(up.UDPStats())
 		}
 	})
 	return tot
-}
-
-// Stats implements Transport with the unified counter vocabulary. Lost
-// counts frames shed locally (full queues, drain cutoffs) — wire loss
-// lives in UDPStats().DatagramsLost, measured in datagrams.
-// Retransmissions is structurally zero: this transport never retransmits.
-func (s *StaticUDP) Stats() TransportStats {
-	st := s.peers.Stats()
-	return TransportStats{
-		Packets:      st.FramesOut,
-		Bytes:        st.BytesOut,
-		Lost:         st.Dropped,
-		SendFailures: st.SendFailures,
-		Reconnects:   st.Reconnects,
-	}
-}
-
-// Close shuts down peers (draining briefly) and this process's sockets.
-func (s *StaticUDP) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	eps := make([]*staticUDPEndpoint, 0, len(s.local))
-	for _, ep := range s.local {
-		eps = append(eps, ep)
-	}
-	s.local = map[wire.NodeID]*staticUDPEndpoint{}
-	s.mu.Unlock()
-	s.peers.Close()
-	for _, ep := range eps {
-		ep.acc.Close()
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"infoslicing/internal/simnet"
+	"infoslicing/internal/transport"
 	"infoslicing/internal/wire"
 )
 
@@ -100,7 +101,7 @@ func TestTCPNetworkConcurrentSendersFrameIntegrity(t *testing.T) {
 	}
 }
 
-// Satellite: the pre-peer TCPNetwork.Send reported nil on a failed write
+// The pre-peer TCP transport's Send reported nil on a failed write
 // and silently dropped the conn even when the receiver was alive. Now a
 // broken connection is a counted send failure and the peer re-dials: break
 // every accepted conn under the receiver and delivery must resume, with
@@ -139,7 +140,7 @@ func TestTCPNetworkSendFailureCountedAndReconnects(t *testing.T) {
 	// write after a hangup can land in the kernel buffer), so keep sending
 	// until the failure is counted.
 	n.mu.RLock()
-	n.local[1].acc.DropConns()
+	n.local[1].acc.(*transport.Acceptor).DropConns()
 	n.mu.RUnlock()
 	if !simnet.Eventually(10*time.Second, time.Millisecond, func() bool {
 		n.Send(2, 1, []byte("during")) //nolint:errcheck
@@ -238,14 +239,14 @@ func TestStaticTCPFacadeLifecycle(t *testing.T) {
 	defer s.Close()
 	var mu sync.Mutex
 	var got []string
-	if err := s.AttachDynamic(7, func(_ wire.NodeID, data []byte) {
+	if err := s.Attach(7, func(_ wire.NodeID, data []byte) {
 		mu.Lock()
 		got = append(got, string(data))
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachDynamic(8, func(wire.NodeID, []byte) {}); err != nil {
+	if err := s.Attach(8, func(wire.NodeID, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	recv := func(want string) bool {
@@ -260,7 +261,7 @@ func TestStaticTCPFacadeLifecycle(t *testing.T) {
 	}
 	s.Send(8, 7, []byte("up")) //nolint:errcheck
 	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return recv("up") }) {
-		t.Fatal("dynamic attach not resolvable in-process")
+		t.Fatal("loopback-port node not resolvable in-process")
 	}
 	// Churn injection: a failed node neither sends nor receives…
 	s.Fail(7)
@@ -328,7 +329,7 @@ func TestStaticTCPManySendersShareHostConn(t *testing.T) {
 	}
 	// One daemon per host: the 4 senders share one connection to node 1.
 	tr.mu.RLock()
-	conns := tr.local[1].acc.ConnCount()
+	conns := tr.local[1].acc.(*transport.Acceptor).ConnCount()
 	tr.mu.RUnlock()
 	if conns != 1 {
 		t.Fatalf("%d inbound conns at node 1, want 1 shared host connection", conns)

@@ -844,28 +844,6 @@ func (n *Node) processBurst(sh *shard, burst []inPkt, parsed []*wire.Packet) []*
 	return parsed
 }
 
-// process parses and dispatches one datagram on its shard: the single-packet
-// degenerate burst, kept for timers, tests, and benchmarks that inject
-// packets directly.
-func (n *Node) process(sh *shard, from wire.NodeID, data []byte) {
-	pkt, err := wire.UnmarshalPacket(data)
-	if err != nil {
-		return // garbage: drop
-	}
-	sh.mu.Lock()
-	select {
-	case <-n.done:
-		sh.mu.Unlock()
-		return
-	default:
-	}
-	var c inCounts
-	n.dispatchLocked(sh, from, pkt, &c)
-	c.flushLocked(sh)
-	sh.mu.Unlock()
-	n.runEgress(sh)
-}
-
 // inCounts accumulates the per-packet inbound counters across one burst so
 // the shard's stats cache line is written once per burst, not once per
 // packet. Counters that fire at most once per burst in practice (flow

@@ -152,9 +152,10 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	defer n.Close()
 	const greedy, modest = wire.NodeID(7), wire.NodeID(8)
 	sh := n.shards[0]
+	var inj injector
 	// The greedy tenant pushes 10 creations: 3 admitted, 7 rejected.
 	for i := 0; i < 10; i++ {
-		n.process(sh, greedy, junkDataFrame(wire.FlowID(0x100+uint64(i))))
+		inj.inject(n, sh, greedy, junkDataFrame(wire.FlowID(0x100+uint64(i))))
 	}
 	if got := n.flowTableSize(); got != 3 {
 		t.Fatalf("greedy tenant holds %d flows, want 3 (quota)", got)
@@ -164,7 +165,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	}
 	// The modest tenant is unaffected by the greedy one's rejections.
 	for i := 0; i < 2; i++ {
-		n.process(sh, modest, junkDataFrame(wire.FlowID(0x200+uint64(i))))
+		inj.inject(n, sh, modest, junkDataFrame(wire.FlowID(0x200+uint64(i))))
 	}
 	if got := n.flowTableSize(); got != 5 {
 		t.Fatalf("table = %d flows, want 5 (3 greedy + 2 modest)", got)
@@ -193,7 +194,7 @@ func TestTenantQuotaNoStarvation(t *testing.T) {
 	if got := n.flowTableSize(); got != 2 {
 		t.Fatalf("table = %d flows after sweep, want 2", got)
 	}
-	n.process(sh, greedy, junkDataFrame(wire.FlowID(0x300)))
+	inj.inject(n, sh, greedy, junkDataFrame(wire.FlowID(0x300)))
 	if got := n.TenantFlows()[greedy]; got != 1 {
 		t.Fatalf("greedy tenant holds %d flows after re-admission, want 1", got)
 	}
@@ -225,6 +226,7 @@ func TestMillionFlowBoundedMemory(t *testing.T) {
 	defer n.Close()
 	sh := n.shards[0]
 	frame := junkDataFrame(0)
+	var inj injector
 
 	runtime.GC()
 	var before runtime.MemStats
@@ -234,7 +236,7 @@ func TestMillionFlowBoundedMemory(t *testing.T) {
 		// Retarget one marshaled frame per flow instead of re-marshalling a
 		// million of them.
 		wire.PatchFlow(frame, wire.FlowID(0x5eed_0000_0000+uint64(i)))
-		n.process(sh, wire.NodeID(100+i%256), frame)
+		inj.inject(n, sh, wire.NodeID(100+i%256), frame)
 	}
 	if got := n.flowTableSize(); got != flows {
 		t.Fatalf("installed %d flows, want %d", got, flows)

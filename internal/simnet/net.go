@@ -13,8 +13,9 @@ import (
 )
 
 // SimNet is the virtual-time overlay transport: the deterministic
-// counterpart of overlay.ChanNetwork. It satisfies overlay.Transport (and
-// the Failer side the churner uses) without importing the overlay package.
+// counterpart of overlay.ChanNetwork. It satisfies overlay.Transport,
+// Fail/Revive churn injection included, without importing the overlay
+// package.
 //
 // Scale design: per-endpoint state lives in a chunked arena of nodeSlots
 // addressed by dense indices (NodeIDs resolve through a flat []int32 for

@@ -218,16 +218,31 @@ func TestPeerStalledReaderBoundedDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	// The wedged peer's goroutines are the test's own — an accept loop
+	// plus one per connection, and a write timeout makes the peer redial —
+	// so halt joins them before the leak check counts what the peer left.
 	stop := make(chan struct{})
-	defer close(stop)
+	var helpers sync.WaitGroup
+	var haltOnce sync.Once
+	halt := func() {
+		haltOnce.Do(func() {
+			close(stop)
+			ln.Close()
+			helpers.Wait()
+		})
+	}
+	defer halt()
+	helpers.Add(1)
 	go func() {
+		defer helpers.Done()
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			helpers.Add(1)
 			go func() {
+				defer helpers.Done()
 				<-stop // accept but never read: a wedged peer
 				c.Close()
 			}()
@@ -258,6 +273,7 @@ func TestPeerStalledReaderBoundedDrops(t *testing.T) {
 		t.Fatal("Close hung on a stalled reader")
 	}
 	// goleak-style check: the writer goroutine must be gone.
+	halt()
 	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+2

@@ -108,6 +108,13 @@ func TestE2ELoopbackStaticTCPKillRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A daemon named outside the book is refused up front, by id: it
+	// would bind a loopback port no other process can resolve.
+	if out, err := exec.Command(nodeBin, "-id", "99", "-book", bookPath).CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "id 99") {
+		t.Fatalf("slicenode -id 99 outside the book: err=%v, output %q; want an error naming the id", err, out)
+	}
+
 	logPath := func(name string) *os.File {
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
