@@ -142,12 +142,12 @@ func (n *Node) sendParentDownLocked(sh *shard, f wire.FlowID, fs *flowState, dea
 }
 
 // handleParentDown forwards a child's report one hop toward the source.
-// Exactly like acks, the report arrives stamped with the *child's* flow-id,
-// which this node cannot map; it matches by the sender's address instead,
-// locating every flow on this shard that lists the sender among its
-// children, re-stamping the report with its own flow-id, and flooding it to
-// its parents. The sealed body is opaque and copied verbatim. Runs with
-// sh.mu held; every shard sees every report.
+// Like an ack, the report arrives stamped with the *child's* flow-id. Unlike
+// an ack (handleAck, which maps that id to its one flow), it is matched by
+// the sender's address alone: every flow on this shard that lists the
+// sender among its children re-stamps the report with its own flow-id and
+// floods it to its parents. The sealed body is opaque and copied verbatim.
+// Runs with sh.mu held; every shard holding such a flow sees the report.
 func (n *Node) handleParentDown(sh *shard, from wire.NodeID, pkt *wire.Packet) {
 	nonce, sealed, err := wire.ParseParentDown(pkt)
 	if err != nil {

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -52,5 +53,48 @@ func TestPruneStopsTimers(t *testing.T) {
 	case <-fired:
 		t.Fatal("pruned round's timer fired")
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestChildlessRelayKeepsNoRounds: a relay with no children that is not
+// the receiver neither forwards nor decodes, so it stores no round — not
+// even past maxLiveRounds, where pruning used to walk the whole table for
+// every new round.
+func TestChildlessRelayKeepsNoRounds(t *testing.T) {
+	const (
+		flow   = wire.FlowID(0x1eaf)
+		parent = wire.NodeID(11)
+	)
+	n, err := New(1, &rawTransport{}, Config{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	fs := injectFlow(n, flow, &wire.PerNodeInfo{Key: testKey(0x17)})
+	fs.seen[parent] = true
+
+	rng := rand.New(rand.NewSource(2))
+	enc, err := code.NewEncoder(2, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]byte, 64)
+	rng.Read(chunk)
+	slices, err := enc.Encode(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := n.shardFor(flow)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for seq := uint32(0); seq < 3*maxLiveRounds; seq++ {
+		pkt, err := wire.UnmarshalPacket(dataFrame(flow, seq, 2, slices[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.handleData(sh, flow, fs, parent, pkt)
+	}
+	if len(fs.rounds) != 0 {
+		t.Fatalf("childless non-receiver holds %d rounds, want 0", len(fs.rounds))
 	}
 }

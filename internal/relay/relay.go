@@ -312,10 +312,15 @@ type shard struct {
 	pktBuf []byte
 	gather []code.Slice
 
-	// byChild indexes established flows by child address: acks and
-	// ParentDown reports are sender-addressed, and used to scan the whole
-	// flow table per packet. Maintained by dirAdd/dirDelLocked under sh.mu.
+	// byChild indexes established flows by child address, for ParentDown
+	// reports, which flood every flow on the edge. Maintained by
+	// dirAdd/dirDelLocked under sh.mu.
 	byChild map[wire.NodeID]map[wire.FlowID]*flowState
+	// byChildFlow maps (child, the child's flow-id) to the one flow that
+	// sends to that child under that id — PerNodeInfo.ChildFlows — so an
+	// ack, stamped with the child's flow-id, acks exactly its own flow.
+	// Maintained alongside byChild.
+	byChildFlow map[childFlow]*flowState
 	// ackTargets is the reusable parent-set scratch for the ack and
 	// ParentDown floods (sendAckLocked, floodUpstreamLocked).
 	ackTargets map[wire.NodeID]bool
@@ -516,13 +521,14 @@ func New(id wire.NodeID, tr overlay.Transport, cfg Config) (*Node, error) {
 	perShard := cfg.MaxFlows / cfg.Shards
 	for i := range n.shards {
 		n.shards[i] = &shard{
-			idx:     i,
-			in:      make(chan inPkt, cfg.QueueDepth),
-			flows:   make(map[wire.FlowID]*flowState),
-			filter:  newCuckooFilter(perShard),
-			rng:     rand.New(rand.NewSource(cfg.Rng.Int63())),
-			egRng:   rand.New(rand.NewSource(cfg.Rng.Int63())),
-			byChild: make(map[wire.NodeID]map[wire.FlowID]*flowState),
+			idx:         i,
+			in:          make(chan inPkt, cfg.QueueDepth),
+			flows:       make(map[wire.FlowID]*flowState),
+			filter:      newCuckooFilter(perShard),
+			rng:         rand.New(rand.NewSource(cfg.Rng.Int63())),
+			egRng:       rand.New(rand.NewSource(cfg.Rng.Int63())),
+			byChild:     make(map[wire.NodeID]map[wire.FlowID]*flowState),
+			byChildFlow: make(map[childFlow]*flowState),
 		}
 	}
 	n.egPool = transport.NewSlabPool(0, 0)
@@ -700,10 +706,10 @@ func (n *Node) gcSweep() {
 //
 // Two lock-free front filters keep non-flow traffic off the shard locks
 // entirely. Sender-addressed packets (acks, ParentDown reports — their
-// flow-id names the *child's* flow, unknown here) are routed by the child
-// directory to just the shards holding a flow that lists the sender as a
-// child, instead of fanning out to all of them; a sender matching nothing
-// is dropped here. Flow-addressed packets that can never create state
+// flow-id names the *child's* flow, which picks no shard) are routed by
+// the child directory to just the shards holding a flow that lists the
+// sender as a child, instead of fanning out to all of them; a sender
+// matching nothing is dropped here. Flow-addressed packets that can never create state
 // (heartbeats, splices, garbage types) consult the owning shard's cuckoo
 // filter and are dropped without enqueueing when the flow cannot be
 // resident. Setup and data packets always pass — they legitimately create
@@ -864,12 +870,12 @@ func (c *inCounts) flushLocked(sh *shard) {
 func (n *Node) dispatchLocked(sh *shard, from wire.NodeID, pkt *wire.Packet, c *inCounts) {
 	switch pkt.Type {
 	case wire.MsgAck:
-		// Acks are matched by sender address, not flow-id, and never create
-		// flow state.
-		n.handleAck(sh, from)
+		// Acks carry the child's flow-id, matched through byChildFlow; they
+		// never create flow state.
+		n.handleAck(sh, from, pkt.Flow)
 		return
 	case wire.MsgParentDown:
-		// Likewise matched by sender address; never creates flow state.
+		// Matched by sender address; never creates flow state.
 		n.handleParentDown(sh, from, pkt)
 		return
 	}
@@ -936,18 +942,16 @@ func (n *Node) sendLocked(sh *shard, to wire.NodeID, buf []byte) {
 }
 
 // handleAck propagates an establishment acknowledgment one hop toward the
-// source: the ack arrives stamped with the *child's* flow-id, which this
-// node does not know — but it does know the child's address, so the
-// shard's byChild index hands it exactly the flows that list the sender
-// among their children (it used to scan every flow on the shard per ack).
-// Runs with sh.mu held.
-func (n *Node) handleAck(sh *shard, from wire.NodeID) {
-	for flow, fs := range sh.byChild[from] {
-		if fs.info == nil || fs.ackSent {
-			continue
-		}
-		n.sendAckLocked(sh, flow, fs)
+// source. The ack arrives stamped with the *child's* flow-id; this node
+// gave the child that id in PerNodeInfo.ChildFlows, so byChildFlow names
+// the one flow it belongs to. Other flows sharing the edge are not acked:
+// their destinations have not answered. Runs with sh.mu held.
+func (n *Node) handleAck(sh *shard, from wire.NodeID, childFlowID wire.FlowID) {
+	fs := sh.byChildFlow[childFlow{from, childFlowID}]
+	if fs == nil || fs.info == nil || fs.ackSent {
+		return
 	}
+	n.sendAckLocked(sh, fs.flow, fs)
 }
 
 // ackTargetsLocked collects a flow's upstream fan-out — parents named in
@@ -1163,6 +1167,14 @@ func (n *Node) handleData(sh *shard, f wire.FlowID, fs *flowState, from wire.Nod
 	if err != nil {
 		return
 	}
+	if !fs.info.Receiver && len(fs.info.Children) == 0 {
+		// A childless relay that is not the receiver neither forwards nor
+		// decodes a round: keep the parent's liveness and no round state
+		// (a stored round would live until the 8192-round cap, after which
+		// every new round would walk the whole table in pruneRounds).
+		fs.markParentAlive(from)
+		return
+	}
 	r := fs.rounds[pkt.Seq]
 	if r == nil {
 		r = &round{slices: make(map[wire.NodeID]code.Slice)}
@@ -1178,12 +1190,7 @@ func (n *Node) handleData(sh *shard, f wire.FlowID, fs *flowState, from wire.Nod
 		return
 	}
 	r.slices[from] = s
-	if fs.deadParents[from] {
-		delete(fs.deadParents, from)
-	}
-	if fs.missStreak[from] != 0 {
-		delete(fs.missStreak, from)
-	}
+	fs.markParentAlive(from)
 
 	if fs.info.Receiver && !r.decoded {
 		n.tryDeliverLocked(sh, f, fs, pkt.Seq, r)
@@ -1211,6 +1218,17 @@ func (n *Node) handleData(sh *shard, f wire.FlowID, fs *flowState, from wire.Nod
 			sh.mu.Unlock()
 			n.runEgress(sh)
 		})
+	}
+}
+
+// markParentAlive clears a parent's dead mark and miss streak on a valid
+// data slice from it. Runs with sh.mu held.
+func (fs *flowState) markParentAlive(from wire.NodeID) {
+	if fs.deadParents[from] {
+		delete(fs.deadParents, from)
+	}
+	if fs.missStreak[from] != 0 {
+		delete(fs.missStreak, from)
 	}
 }
 

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -149,5 +150,64 @@ func TestInconsistentSetupGeometryIgnored(t *testing.T) {
 	}
 	if got := h.waitMsg(t, 5*time.Second); !bytes.Equal(got, []byte("geometry safe")) {
 		t.Fatal("mismatch")
+	}
+}
+
+// TestAckMatchesOnlyItsFlow: two flows share the edge to one child, under
+// different child flow-ids. An ack stamped with X's child flow-id acks X
+// alone — Y's destination has not answered, so Y must stay unacked — and
+// an ack naming no flow of this node acks nothing.
+func TestAckMatchesOnlyItsFlow(t *testing.T) {
+	tr := &rawTransport{}
+	// One shard: both flows see the same ack dispatch, so once X is acked
+	// the outcome for Y is settled too.
+	n, err := New(1, tr, Config{Shards: 1, Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const (
+		parent = wire.NodeID(101)
+		child  = wire.NodeID(201)
+		flowX  = wire.FlowID(0xa1)
+		flowY  = wire.FlowID(0xa2)
+	)
+	info := func(childFlow wire.FlowID) *wire.PerNodeInfo {
+		return &wire.PerNodeInfo{
+			Children:   []wire.NodeID{child},
+			ChildFlows: []wire.FlowID{childFlow},
+			Key:        testKey(0x42),
+			DataMap:    []wire.DataForward{{Parent: parent, Child: 0}},
+		}
+	}
+	x := injectFlow(n, flowX, info(0xc1))
+	y := injectFlow(n, flowY, info(0xc2))
+	acked := func(f wire.FlowID, fs *flowState) bool {
+		sh := n.shardFor(f)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return fs.ackSent
+	}
+	sendAck := func(childFlow wire.FlowID) {
+		n.onPacket(child, (&wire.Packet{Type: wire.MsgAck, Flow: childFlow}).Marshal())
+	}
+
+	sendAck(0xc3) // no flow gave the child this id
+	sendAck(0xc1)
+	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return acked(flowX, x) }) {
+		t.Fatal("ack for X's child flow did not ack X")
+	}
+	if acked(flowY, y) {
+		t.Fatal("ack for X's child flow acked Y, which shares the edge")
+	}
+	for _, s := range tr.packetsOfType(wire.MsgAck) {
+		pkt, err := wire.UnmarshalPacket(s.data)
+		if err != nil || pkt.Flow != flowX || s.to != parent {
+			t.Fatalf("upstream ack %+v to %d, want flow %#x to %d", pkt, s.to, flowX, parent)
+		}
+	}
+	sendAck(0xc2)
+	if !simnet.Eventually(5*time.Second, time.Millisecond, func() bool { return acked(flowY, y) }) {
+		t.Fatal("ack for Y's child flow did not ack Y")
 	}
 }

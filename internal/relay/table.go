@@ -206,10 +206,18 @@ func (n *Node) childMask(from wire.NodeID) uint64 {
 	return m
 }
 
+// childFlow names one parent→child edge of one flow: the child and the
+// flow-id the parent gave it (PerNodeInfo.ChildFlows).
+type childFlow struct {
+	child wire.NodeID
+	flow  wire.FlowID
+}
+
 // dirAddLocked registers a flow's children for the shard: the global
-// child→shard mask consulted by transport goroutines, and the shard-local
-// byChild index that lets handleAck/handleParentDown touch only the flows
-// actually listing the sender instead of scanning the whole shard. Called
+// child→shard mask consulted by transport goroutines, the shard-local
+// byChild index that lets handleParentDown touch only the flows actually
+// listing the sender instead of scanning the whole shard, and the
+// byChildFlow index that maps an ack to its one flow. Called
 // under sh.mu at establishment and splice; the nested directory lock is
 // fine because no path takes a shard lock while holding it.
 func (n *Node) dirAddLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
@@ -223,6 +231,11 @@ func (n *Node) dirAddLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 			sh.byChild[c] = m
 		}
 		m[fs.flow] = fs
+	}
+	for i, c := range pi.Children {
+		if i < len(pi.ChildFlows) {
+			sh.byChildFlow[childFlow{c, pi.ChildFlows[i]}] = fs
+		}
 	}
 	n.children.mu.Lock()
 	for _, c := range pi.Children {
@@ -248,6 +261,15 @@ func (n *Node) dirDelLocked(sh *shard, fs *flowState, pi *wire.PerNodeInfo) {
 			if len(m) == 0 {
 				delete(sh.byChild, c)
 			}
+		}
+	}
+	for i, c := range pi.Children {
+		if i >= len(pi.ChildFlows) {
+			continue
+		}
+		k := childFlow{c, pi.ChildFlows[i]}
+		if sh.byChildFlow[k] == fs {
+			delete(sh.byChildFlow, k)
 		}
 	}
 	n.children.mu.Lock()

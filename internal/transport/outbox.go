@@ -8,12 +8,6 @@ import (
 	"infoslicing/internal/wire"
 )
 
-// outbox is the transport-agnostic half of a peer: the bounded outbound
-// frame queue, the freelist of frame buffers, and the shutdown lifecycle
-// (graceful drain vs immediate kill). The TCP Peer and the UDPPeer embed it
-// and add only their wire I/O — stream writev on one side, congestion-
-// controlled sendmmsg on the other — so Enqueue semantics, drop accounting,
-// and Close behaviour are identical across transports by construction.
 // outFrame is one outbound queue entry: either a copied frame (buf, from
 // the freelist, header already prepended) or an owned batch of frames
 // sharing one refcounted backing buffer (ob). Exactly one of the two is
@@ -44,12 +38,33 @@ type ownedBatch struct {
 	hdrs    []byte
 }
 
+// outbox is the transport-agnostic half of a peer: the bounded outbound
+// frame queue, the freelists of frame buffers and batch envelopes, and the
+// shutdown lifecycle (graceful drain vs immediate kill). The TCP Peer and
+// the UDPPeer embed it and add only their wire I/O — stream writev on one
+// side, congestion-controlled sendmmsg on the other — so Enqueue
+// semantics, drop accounting, and Close behaviour are identical across
+// transports by construction.
 type outbox struct {
 	cfg Config
 
-	out    chan outFrame    // framed buffers / owned batches awaiting the writer
-	free   chan []byte      // recycled copied-frame buffers
-	freeOB chan *ownedBatch // recycled owned-batch envelopes
+	// mu guards the queue, both freelists and dead. Everything behind it
+	// grows on use — a peer that carries one frame costs one small ring
+	// slot and one buffer, not QueueDepth of each — and never past the
+	// caps the channels it replaced had: QueueDepth queued entries,
+	// QueueDepth+MaxBatch free frame buffers, QueueDepth free envelopes.
+	mu     sync.Mutex
+	q      frameRing     // framed buffers / owned batches awaiting the writer
+	free   [][]byte      // recycled copied-frame buffers
+	freeOB []*ownedBatch // recycled owned-batch envelopes
+	// dead is set by the writer, under mu, just before its final queue
+	// reap; Enqueue checks it under the same lock, so a frame either lands
+	// before the reap (and is reaped) or is refused: none is stranded.
+	dead bool
+	// wake is the writer's parking signal: an enqueue that makes the queue
+	// non-empty drops a token here. One slot suffices because the writer
+	// only parks after finding the queue empty under mu.
+	wake chan struct{}
 
 	// closed signals shutdown (writer drains then exits); killed is the
 	// immediate variant (CloseNow) that also interrupts backoff sleeps.
@@ -58,12 +73,7 @@ type outbox struct {
 	closeOnce sync.Once
 	killOnce  sync.Once
 	immediate atomic.Bool
-	// dead is set by the writer just before its final queue reap, and
-	// checked by Enqueue after a successful send: a frame that slips into
-	// the queue while the writer is exiting is reaped by whichever side
-	// observes it last, so no frame is ever stranded (see Enqueue).
-	dead atomic.Bool
-	done chan struct{}
+	done      chan struct{}
 
 	// drainBy is writer-goroutine-only: the drain deadline, armed by
 	// whichever writer code path first observes a graceful close — the
@@ -84,9 +94,7 @@ type outbox struct {
 func newOutbox(cfg Config) outbox {
 	return outbox{
 		cfg:    cfg,
-		out:    make(chan outFrame, cfg.QueueDepth),
-		free:   make(chan []byte, cfg.QueueDepth+cfg.MaxBatch),
-		freeOB: make(chan *ownedBatch, cfg.QueueDepth),
+		wake:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
 		killed: make(chan struct{}),
 		done:   make(chan struct{}),
@@ -102,32 +110,19 @@ func (o *outbox) Enqueue(from wire.NodeID, data []byte) bool {
 		o.dropped.Add(1)
 		return false
 	}
-	var buf []byte
-	select {
-	case buf = <-o.free:
-	default:
+	o.mu.Lock()
+	if o.dead || o.q.n >= o.cfg.QueueDepth {
+		o.mu.Unlock()
+		o.dropped.Add(1)
+		return false
 	}
+	buf := popLast(&o.free)
 	var hdr [HeaderLen]byte
 	putHeader(hdr[:], from, len(data))
 	buf = append(buf[:0], hdr[:]...)
 	buf = append(buf, data...)
-	select {
-	case o.out <- outFrame{buf: buf}:
-		o.enqueued.Add(1)
-		if o.dead.Load() {
-			// Lost the race with the writer's exit. The writer sets dead
-			// strictly before its final reap, so either that reap already
-			// drained this frame or this discard will: nothing strands,
-			// and the frame is counted dropped instead of claimed sent.
-			o.discardQueue()
-			return false
-		}
-		return true
-	default:
-		o.recycle(buf)
-		o.dropped.Add(1)
-		return false
-	}
+	o.push(outFrame{buf: buf})
+	return true
 }
 
 // EnqueueOwned hands a burst of frames toward this peer by reference: the
@@ -155,10 +150,15 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 			return false
 		}
 	}
-	var ob *ownedBatch
-	select {
-	case ob = <-o.freeOB:
-	default:
+	o.mu.Lock()
+	if o.dead || o.q.n >= o.cfg.QueueDepth {
+		o.mu.Unlock()
+		release()
+		o.dropped.Add(n)
+		return false
+	}
+	ob := popLast(&o.freeOB)
+	if ob == nil {
 		ob = &ownedBatch{}
 	}
 	ob.from = from
@@ -170,52 +170,124 @@ func (o *outbox) EnqueueOwned(from wire.NodeID, bufs [][]byte, release func()) b
 		putHeader(hdr[:], from, len(b))
 		ob.hdrs = append(ob.hdrs, hdr[:]...)
 	}
-	select {
-	case o.out <- outFrame{ob: ob}:
-		o.enqueued.Add(n)
-		if o.dead.Load() {
-			// Same exit race as Enqueue: one side's reap consumes the
-			// batch (and its release) — nothing strands, nothing double-
-			// releases.
-			o.discardQueue()
-			return false
+	o.push(outFrame{ob: ob})
+	return true
+}
+
+// popLast removes and returns a freelist's last element, or the zero
+// value when the list is empty.
+func popLast[T any](list *[]T) T {
+	var v, zero T
+	if n := len(*list); n > 0 {
+		v = (*list)[n-1]
+		(*list)[n-1] = zero
+		*list = (*list)[:n-1]
+	}
+	return v
+}
+
+// push appends an entry the caller has admitted (mu held, queue below
+// QueueDepth), releases mu, counts the entry and wakes the writer if the
+// queue was empty.
+func (o *outbox) push(f outFrame) {
+	frames := f.frames() // the writer owns f once mu drops
+	o.q.push(f, o.cfg.QueueDepth)
+	first := o.q.n == 1
+	o.mu.Unlock()
+	o.enqueued.Add(frames)
+	if first {
+		select {
+		case o.wake <- struct{}{}:
+		default:
 		}
-		return true
-	default:
-		o.finishOwned(ob)
-		o.dropped.Add(n)
-		return false
 	}
 }
 
-// finishOwned consumes an owned batch: fires its release exactly once,
-// unpins the payload views, and recycles the envelope.
-func (o *outbox) finishOwned(ob *ownedBatch) {
-	ob.release()
-	ob.release = nil
-	for i := range ob.bufs {
-		ob.bufs[i] = nil
-	}
-	ob.bufs = ob.bufs[:0]
-	ob.from = 0
-	select {
-	case o.freeOB <- ob:
-	default:
-	}
+// take moves up to MaxBatch queued entries, oldest first, onto batch under
+// one lock acquisition.
+func (o *outbox) take(batch []outFrame) []outFrame {
+	o.mu.Lock()
+	batch = o.q.take(batch, o.cfg.MaxBatch)
+	o.mu.Unlock()
+	return batch
 }
 
-// finish returns a dequeued entry's resources: freelist for copied
-// frames, release+envelope recycle for owned batches.
-func (o *outbox) finish(f outFrame) {
-	if f.ob != nil {
-		o.finishOwned(f.ob)
-		return
+// nextBatch is the writer's dequeue and the shutdown ladder both writers
+// share. It returns the next batch and true; an empty batch with true
+// means nothing is queued and the writer should park (on wake or closed)
+// and call again. It returns false when the writer must exit: killed,
+// drained after a graceful Close, or past the drain deadline (the batch in
+// hand is dropped; the writer's final reap discards the rest).
+func (o *outbox) nextBatch(batch []outFrame) ([]outFrame, bool) {
+	if !o.isClosed() {
+		return o.take(batch), true
 	}
-	o.recycle(f.buf)
+	if o.immediate.Load() {
+		return batch, false
+	}
+	// Flushing (dialing included) continues until the drain deadline
+	// passes or the queue empties.
+	deadline := o.armDrain()
+	batch = o.take(batch)
+	if len(batch) == 0 {
+		return batch, false // queue drained; graceful exit
+	}
+	if time.Now().After(deadline) {
+		for _, f := range batch {
+			o.dropped.Add(f.frames())
+		}
+		o.recycleBatch(batch)
+		return batch[:0], false
+	}
+	return batch, true
 }
 
-// QueueLen reports how many frames are currently queued (diagnostics).
-func (o *outbox) QueueLen() int { return len(o.out) }
+// retire is the writer's last act: dead, then reap, strictly in this
+// order. Enqueue checks dead under the queue lock, so a frame that slips
+// in during exit is either reaped here or refused there — never stranded
+// (the Close-race tests pin this).
+func (o *outbox) retire() {
+	o.mu.Lock()
+	o.dead = true
+	o.mu.Unlock()
+	o.discardQueue()
+}
+
+// recycleBatch returns a dequeued batch's resources and clears its
+// slots: each owned batch's release fires exactly once (outside the lock,
+// since it is the caller's code) and its payload views are unpinned; then
+// frame buffers and envelopes go back to the freelists under one lock.
+func (o *outbox) recycleBatch(batch []outFrame) {
+	for _, f := range batch {
+		if ob := f.ob; ob != nil {
+			ob.release()
+			ob.release = nil
+			clear(ob.bufs)
+			ob.bufs = ob.bufs[:0]
+			ob.from = 0
+		}
+	}
+	o.mu.Lock()
+	for i, f := range batch {
+		if f.ob != nil {
+			if len(o.freeOB) < o.cfg.QueueDepth {
+				o.freeOB = append(o.freeOB, f.ob)
+			}
+		} else if len(o.free) < o.cfg.QueueDepth+o.cfg.MaxBatch {
+			o.free = append(o.free, f.buf)
+		}
+		batch[i] = outFrame{}
+	}
+	o.mu.Unlock()
+}
+
+// QueueLen reports how many entries are currently queued (diagnostics);
+// an owned batch is one entry.
+func (o *outbox) QueueLen() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.q.n
+}
 
 // Stats snapshots the peer's counters.
 func (o *outbox) Stats() Stats {
@@ -247,20 +319,6 @@ func (o *outbox) armDrain() time.Time {
 		o.drainBy = time.Now().Add(o.cfg.DrainTimeout)
 	}
 	return o.drainBy
-}
-
-func (o *outbox) recycle(buf []byte) {
-	select {
-	case o.free <- buf:
-	default:
-	}
-}
-
-func (o *outbox) recycleBatch(batch []outFrame) {
-	for i, f := range batch {
-		o.finish(f)
-		batch[i] = outFrame{}
-	}
 }
 
 // sleepBackoff sleeps the current backoff (±50% jitter, so a fleet of
@@ -309,13 +367,62 @@ func (o *outbox) sleepBackoff(rng *lazyRand, backoff *time.Duration) bool {
 // discardQueue empties the outbound queue, counting everything as dropped
 // (in frame units) and releasing owned batches.
 func (o *outbox) discardQueue() {
+	var one [1]outFrame
 	for {
-		select {
-		case f := <-o.out:
-			o.dropped.Add(f.frames())
-			o.finish(f)
-		default:
+		o.mu.Lock()
+		batch := o.q.take(one[:0], 1)
+		o.mu.Unlock()
+		if len(batch) == 0 {
 			return
 		}
+		o.dropped.Add(batch[0].frames())
+		o.recycleBatch(batch)
 	}
+}
+
+// frameRing is the outbound FIFO: a ring buffer that starts empty and
+// doubles on demand up to the queue depth, so its footprint follows the
+// deepest backlog the peer has actually seen.
+type frameRing struct {
+	buf  []outFrame
+	head int // index of the oldest entry
+	n    int // entries queued
+}
+
+// push appends f; the caller has checked n < limit.
+func (r *frameRing) push(f outFrame, limit int) {
+	if r.n == len(r.buf) {
+		size := 2 * len(r.buf)
+		if size < 4 {
+			size = 4
+		}
+		if size > limit {
+			size = limit
+		}
+		grown := make([]outFrame, size)
+		copied := copy(grown, r.buf[r.head:])
+		copy(grown[copied:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = f
+	r.n++
+}
+
+// take appends up to k entries, oldest first, to dst and clears their
+// slots so the ring pins no buffer it no longer holds.
+func (r *frameRing) take(dst []outFrame, k int) []outFrame {
+	for ; k > 0 && r.n > 0; k-- {
+		dst = append(dst, r.buf[r.head])
+		r.buf[r.head] = outFrame{}
+		r.head++
+		if r.head == len(r.buf) {
+			r.head = 0
+		}
+		r.n--
+	}
+	return dst
 }

@@ -110,24 +110,20 @@ func (h *connHolder) dropConn() {
 }
 
 // run is the writer: the only goroutine that dials, writes, or closes the
-// peer's connection. All frames it pulls off the queue are flushed in one
-// writev batch per wakeup (up to MaxBatch), so a burst of n frames costs
+// peer's connection. Each wakeup takes up to MaxBatch queued entries under
+// one lock and flushes them in one writev, so a burst of n frames costs
 // ~n/MaxBatch syscalls instead of n.
 func (p *Peer) run(jitterSeed int64) {
 	defer func() {
-		// dead-then-reap, strictly in this order: Enqueue's post-send
-		// check on dead guarantees a frame that slips in during exit is
-		// discarded by one side or the other, never stranded (the old
-		// done-based check left an instruction-wide strand window between
-		// the final reap and close(done) — the Close-race test pins this).
-		p.dead.Store(true)
+		p.retire()
 		p.dropConn()
-		p.discardQueue()
 		close(p.done)
 	}()
 	var (
-		batch = make([]outFrame, 0, p.cfg.MaxBatch)
-		nb    = new(net.Buffers)
+		// The batch and iovec scratch are sized on first use: a peer that
+		// only ever carries a frame or two never pays for MaxBatch slots.
+		batch []outFrame
+		nb    net.Buffers
 		idle  *time.Timer
 		// The jitter RNG is only materialized on the first backoff sleep:
 		// a peer whose dials succeed never pays for seeding one (it costs a
@@ -136,64 +132,34 @@ func (p *Peer) run(jitterSeed int64) {
 		backoff = p.cfg.BackoffMin
 	)
 	for {
-		var first outFrame
-		if p.isClosed() {
-			if p.immediate.Load() {
-				p.discardQueue()
-				return
-			}
-			// Flushing (dialing included) continues until the drain
-			// deadline passes or the queue empties.
-			drainDeadline := p.armDrain()
+		var live bool
+		if batch, live = p.nextBatch(batch[:0]); !live {
+			return
+		}
+		if len(batch) > 0 {
+			p.flush(batch, &nb, rng, &backoff)
+			continue
+		}
+		if p.cfg.IdleTimeout <= 0 || p.conn() == nil {
 			select {
-			case first = <-p.out:
-			default:
-				return // queue drained; graceful exit
-			}
-			if time.Now().After(drainDeadline) {
-				p.dropped.Add(first.frames())
-				p.finish(first)
-				p.discardQueue()
-				return
-			}
-		} else if p.cfg.IdleTimeout > 0 && p.conn() != nil {
-			if idle == nil {
-				idle = time.NewTimer(p.cfg.IdleTimeout)
-			} else {
-				idle.Reset(p.cfg.IdleTimeout)
-			}
-			select {
-			case first = <-p.out:
-				if !idle.Stop() {
-					<-idle.C
-				}
-			case <-idle.C:
-				p.dropConn() // idle teardown; next frame re-dials
-				continue
+			case <-p.wake:
 			case <-p.closed:
-				if !idle.Stop() {
-					<-idle.C
-				}
-				continue
 			}
+			continue
+		}
+		if idle == nil {
+			idle = time.NewTimer(p.cfg.IdleTimeout)
 		} else {
-			select {
-			case first = <-p.out:
-			case <-p.closed:
-				continue
-			}
+			idle.Reset(p.cfg.IdleTimeout)
 		}
-		batch = append(batch[:0], first)
-	fill:
-		for len(batch) < p.cfg.MaxBatch {
-			select {
-			case f := <-p.out:
-				batch = append(batch, f)
-			default:
-				break fill
-			}
+		select {
+		case <-p.wake:
+			idle.Stop()
+		case <-idle.C:
+			p.dropConn() // idle teardown; next frame re-dials
+		case <-p.closed:
+			idle.Stop()
 		}
-		p.flush(batch, nb, rng, &backoff)
 	}
 }
 

@@ -173,14 +173,24 @@ func (a *Acceptor) acceptLoop() {
 	}
 }
 
-// readLoop reads frames into reusable slabs and hands each payload out as
-// a view. The kernel writes straight into the slab; nothing is copied on
-// the way to the handler. Delivered regions are never written again —
-// handlers own them (rule 2) — so when a slab fills, the loop rolls to a
-// fresh one, carrying over only the bytes of a partially-read frame.
+// Reader slab sizes: a connection starts on a slabMin slab and doubles it
+// at each roll up to slabMax, so a connection that carries a setup wave
+// or an ack costs a couple of KiB while a bulk stream still reads 64 KiB
+// per syscall after a few rolls.
+const (
+	slabMin = 2 << 10
+	slabMax = 64 << 10
+)
+
+// readLoop reads frames into slabs and hands each payload out as a view.
+// The kernel writes straight into the slab; nothing is copied on the way
+// to the handler. Delivered regions are never written again — handlers
+// own them (rule 2) — so when a slab fills, the loop rolls to a fresh,
+// larger one (see slabMin), carrying over only the bytes of a partially-
+// read frame.
 func (a *Acceptor) readLoop(c net.Conn) {
-	const slabMin = 64 << 10
-	slab := make([]byte, slabMin)
+	size := slabMin
+	slab := make([]byte, size)
 	start, end := 0, 0
 	var readErr error
 	var seenSenders map[wire.NodeID]bool
@@ -222,11 +232,14 @@ func (a *Acceptor) readLoop(c net.Conn) {
 		}
 		if end == len(slab) {
 			// Slab exhausted. Handed-out frames pin slab[:start], so roll
-			// to a fresh slab, moving only the unparsed tail (at most one
-			// partial frame, whose size — if its header is in — the new
-			// slab must fit whole).
+			// to a fresh slab of the next size, moving only the unparsed
+			// tail (at most one partial frame, whose size — if its header
+			// is in — the new slab must fit whole).
 			pending := end - start
-			need := slabMin
+			if size < slabMax {
+				size *= 2
+			}
+			need := size
 			if pending >= HeaderLen {
 				if t := HeaderLen + int(binary.BigEndian.Uint32(slab[start:])); t > need {
 					need = t

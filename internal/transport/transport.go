@@ -18,9 +18,10 @@
 //     exponential backoff, an idle connection is torn down, and Close
 //     drains what is queued before hanging up.
 //
-// The receive side (Acceptor) reads length-prefixed frames into reusable
-// slabs and hands each frame out as a view — zero copies between the
-// kernel and the relay's shard queues.
+// The receive side (Acceptor) reads length-prefixed frames into slabs that
+// grow from 2 KiB to 64 KiB with the connection's traffic and hands each
+// frame out as a view — zero copies between the kernel and the relay's
+// shard queues.
 //
 // Wire format, byte-compatible with the pre-peer transports: 4-byte
 // big-endian payload length, 4-byte big-endian sender NodeID, payload.

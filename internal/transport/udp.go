@@ -297,61 +297,36 @@ func (p *UDPPeer) dropConn() {
 // kill, dead-then-discard so no frame strands); only the flush differs.
 func (p *UDPPeer) run(jitterSeed int64) {
 	defer func() {
-		p.dead.Store(true)
+		p.retire()
 		p.dropConn()
-		p.discardQueue()
 		close(p.done)
 	}()
 	var (
-		batch   = make([]outFrame, 0, p.cfg.MaxBatch)
-		dgs     = make([][]byte, 0, p.cfg.MaxBatch)
+		// Batch and datagram scratch are sized on first use, as on the
+		// TCP writer.
+		batch   []outFrame
+		dgs     [][]byte
 		dgPool  [][]byte
 		bs      batchSender
 		rng     = &lazyRand{seed: jitterSeed}
 		backoff = p.cfg.BackoffMin
 	)
 	for {
-		var first outFrame
-		if p.isClosed() {
-			if p.immediate.Load() {
-				p.discardQueue()
-				return
-			}
-			drainDeadline := p.armDrain()
-			select {
-			case first = <-p.out:
-			default:
-				return // queue drained; graceful exit
-			}
-			if time.Now().After(drainDeadline) {
-				p.dropped.Add(first.frames())
-				p.finish(first)
-				p.discardQueue()
-				return
-			}
-		} else {
-			select {
-			case first = <-p.out:
-			case <-p.closed:
-				continue
-			}
+		var live bool
+		if batch, live = p.nextBatch(batch[:0]); !live {
+			return
 		}
-		batch = append(batch[:0], first)
-	fill:
-		for len(batch) < p.cfg.MaxBatch {
+		if len(batch) == 0 {
 			select {
-			case f := <-p.out:
-				batch = append(batch, f)
-			default:
-				break fill
+			case <-p.wake:
+			case <-p.closed:
 			}
+			continue
 		}
 		dgs = p.pack(batch, dgs[:0], &dgPool)
 		p.recycleBatch(batch)
 		p.flushDatagrams(dgs, &bs, rng, &backoff)
-		for _, dg := range dgs {
-			dgPool = append(dgPool, dg)
-		}
+		dgPool = append(dgPool, dgs...)
 	}
 }
 
@@ -760,10 +735,10 @@ type UDPAcceptor struct {
 
 // rxSource is the acceptor's per-source-socket ack state.
 type rxSource struct {
-	count    uint64    // datagrams received (post-shim) from this source
-	high     uint32    // highest data seq seen
+	count    uint64 // datagrams received (post-shim) from this source
+	high     uint32 // highest data seq seen
 	started  bool
-	lastSeen time.Time // last batch this source appeared in (eviction clock)
+	lastSeen time.Time     // last batch this source appeared in (eviction clock)
 	senders  []wire.NodeID // sender ids already reported to OnSender (≤ maxSendersPerConn)
 }
 
